@@ -37,8 +37,9 @@ if typing.TYPE_CHECKING:
 
 #: Version of the snapshot schema.  Bump whenever any component's
 #: ``state_dict`` shape changes; old blobs then read as misses/rejects
-#: rather than as subtly wrong machines.
-SCHEMA_VERSION = 1
+#: rather than as subtly wrong machines.  v2: the ring ledger's
+#: ``last_request_fs``.
+SCHEMA_VERSION = 2
 
 Snapshot = typing.Dict[str, object]
 

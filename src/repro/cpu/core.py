@@ -87,9 +87,12 @@ class CpuProgram:
         addresses carry no data dependency; eviction-set priming is the
         textbook case.  Timed *probes* use :meth:`read_series` instead —
         the measurement depends on the serial pointer-chase latency.
+        On a fast-path machine an all-private-hit batch commits
+        analytically and any other batch runs as one lane group
+        (:meth:`SoC.cpu_loads`); the staged path fans out one child
+        process per load.
         """
         soc = self.soc
-        engine = soc.engine
         issue_fs = soc.cpu_cycles_fs(2)
         step = max(1, parallelism)
         fast = soc._fastpath
@@ -101,11 +104,13 @@ class CpuProgram:
                 if folded is not None:
                     latencies.extend(folded)
                     continue
-            children = [
-                Process(engine, self._issue_after(i * issue_fs, paddr))
-                for i, paddr in enumerate(batch)
-            ]
-            results = yield AllOf(engine, children)
+                results = yield soc.cpu_loads(self.core, batch, issue_fs)
+            else:
+                children = [
+                    Process(soc.engine, self._issue_after(i * issue_fs, paddr))
+                    for i, paddr in enumerate(batch)
+                ]
+                results = yield AllOf(soc.engine, children)
             latencies.extend(typing.cast(typing.List[int], results))
         return latencies
 

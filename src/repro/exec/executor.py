@@ -734,6 +734,14 @@ class TrialExecutor:
                     initargs=(queue,),
                 )
                 next_round: typing.List[int] = []
+                # A round that harvested every handle ends with close() +
+                # join(): the workers exit on their own and flush their
+                # telemetry feeders.  terminate() could kill a worker
+                # while its feeder holds the queue's write lock, which
+                # would block this process at exit.  Only an aborted
+                # round (wedged or dead worker, or an error here)
+                # terminates its pool.
+                harvested = False
                 try:
                     handles = []
                     for index in remaining:
@@ -812,8 +820,12 @@ class TrialExecutor:
                                 specs, outcomes, index, kind, value,
                                 attempts[index],
                             )
+                    harvested = not aborted
                 finally:
-                    pool.terminate()
+                    if harvested:
+                        pool.close()
+                    else:
+                        pool.terminate()
                     pool.join()
                 remaining = next_round
         finally:

@@ -80,12 +80,14 @@ class WorkGroupCtx:
         Returns per-access latencies (fs).  Requests within one batch issue
         ``issue_cycles`` apart and overlap in the memory system; batches
         run back to back, modeling SIMT lock-step over the wavefronts.
-        On a fast-path machine, an all-L3-hit batch commits analytically
-        with one timed wait instead of a fan-out of child processes.
+        On a fast-path machine an all-L3-hit batch commits analytically
+        with one timed wait, and any other batch runs as one lane group
+        (:meth:`SoC.gpu_loads`); the staged path fans out one child
+        process per load.
         """
         latencies: typing.List[int] = []
-        engine = self.soc.engine
-        fast = self.soc._fastpath
+        soc = self.soc
+        fast = soc._fastpath
         for start in range(0, len(paddrs), self.mem_parallelism):
             batch = paddrs[start : start + self.mem_parallelism]
             if fast:
@@ -93,11 +95,13 @@ class WorkGroupCtx:
                 if folded is not None:
                     latencies.extend(folded)
                     continue
-            children = [
-                Process(engine, self._issue_after(i * self._issue_fs, paddr))
-                for i, paddr in enumerate(batch)
-            ]
-            results = yield AllOf(engine, children)
+                results = yield soc.gpu_loads(batch, self._issue_fs)
+            else:
+                children = [
+                    Process(soc.engine, self._issue_after(i * self._issue_fs, paddr))
+                    for i, paddr in enumerate(batch)
+                ]
+                results = yield AllOf(soc.engine, children)
             latencies.extend(typing.cast(typing.List[int], results))
         return latencies
 

@@ -14,7 +14,7 @@ without floating-point drift.
 
 from repro.sim.engine import Engine
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
-from repro.sim.process import Process
+from repro.sim.process import LaneGroup, Process
 from repro.sim.resources import FifoResource, TokenBucket
 from repro.sim.rng import RngStreams
 from repro.sim.stats import OnlineStats, confidence_interval_95
@@ -52,6 +52,7 @@ __all__ = [
     "FS_PER_PS",
     "FS_PER_S",
     "FS_PER_US",
+    "LaneGroup",
     "OnlineStats",
     "Process",
     "RngStreams",

@@ -574,7 +574,7 @@ class ProbeSweepKernel:
     ) -> np.ndarray:
         """Ring → LLC → DRAM for lanes whose private caches missed.
 
-        Mirrors ``SoC._miss_path_fast``: the ring is reserved at the
+        Mirrors ``SoC._miss_step``: the ring is reserved at the
         logical time t1 = t0 + pre; the LLC mutates at t3 = grant + hold;
         a DRAM draw happens only on an LLC miss.  Returns the total
         access latency per lane (``clk`` is *not* advanced here).

@@ -11,6 +11,13 @@ locals.  The inlined loops and ``step()`` must stay behaviourally identical:
 time never goes backwards (``schedule`` rejects negative delays, so the heap
 order guarantees it), ``events_executed`` counts every action, and the
 ``engine.step`` trace event fires per action when a sink is armed.
+
+Each drive loop also publishes its *horizon* — the latest time an action
+may run in it (``_inline_until``) and the event it waits for
+(``_awaited``) — so a :class:`~repro.sim.process.LaneGroup` can run its
+next stage inside the current action exactly when this loop would have
+popped it next.  ``step()`` publishes an empty horizon: it runs one
+action and nothing more.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import typing
 from repro.errors import SimulationError
 from repro.obs.census import note_engine
 from repro.obs.recorder import recorder as _recorder
-from repro.sim.events import _PENDING, Event, Timeout
+from repro.sim.events import _PENDING, _UNBOUNDED, Event, Timeout
 
 Action = typing.Callable[[], None]
 
@@ -34,6 +41,12 @@ class Engine:
         self._sequence = 0
         self._queue: typing.List[typing.Tuple[int, int, Action]] = []
         self._events_executed = 0
+        # The horizon of the drive loop now running (see the module doc),
+        # and the actions run inside other actions since it began; the
+        # loop folds those into events_executed with its own count.
+        self._inline_until: float = -1
+        self._awaited: typing.Optional[Event] = None
+        self._inline_executed = 0
         # Observability hooks resolve once, here; the disabled path adds
         # a single `is None` check to step() and nothing else.
         self._trace = _recorder.sink_for("engine.step")
@@ -114,8 +127,29 @@ class Engine:
         self._events_executed += 1
         if self._trace is not None:
             self._trace.emit("engine.step", time_fs, "engine", None)
-        action()
+        horizon = self._enter(-1, None)
+        try:
+            action()
+        finally:
+            self._leave(0, horizon)
         return True
+
+    def _enter(
+        self, until: float, awaited: typing.Optional[Event]
+    ) -> typing.Tuple[float, typing.Optional[Event]]:
+        """Publish a drive loop's horizon; returns the one it replaces."""
+        previous = (self._inline_until, self._awaited)
+        self._inline_until = until
+        self._awaited = awaited
+        return previous
+
+    def _leave(
+        self, executed: int, horizon: typing.Tuple[float, typing.Optional[Event]]
+    ) -> None:
+        """End a drive loop: count its actions, restore the outer horizon."""
+        self._events_executed += executed + self._inline_executed
+        self._inline_executed = 0
+        self._inline_until, self._awaited = horizon
 
     def run(self, until_fs: typing.Optional[int] = None) -> int:
         """Drain the event queue, optionally stopping at ``until_fs``.
@@ -129,6 +163,7 @@ class Engine:
         trace = self._trace
         executed = 0
         if until_fs is None:
+            horizon = self._enter(_UNBOUNDED, None)
             try:
                 while queue:
                     time_fs, _seq, action = heappop(queue)
@@ -140,10 +175,11 @@ class Engine:
                         trace.emit("engine.step", time_fs, "engine", None)
                     action()
             finally:
-                self._events_executed += executed
+                self._leave(executed, horizon)
             return self._now
         if until_fs < self._now:
             raise SimulationError("run target is in the past")
+        horizon = self._enter(until_fs, None)
         try:
             while queue and queue[0][0] <= until_fs:
                 time_fs, _seq, action = heappop(queue)
@@ -155,7 +191,7 @@ class Engine:
                     trace.emit("engine.step", time_fs, "engine", None)
                 action()
         finally:
-            self._events_executed += executed
+            self._leave(executed, horizon)
         self._now = until_fs
         return self._now
 
@@ -169,6 +205,7 @@ class Engine:
         heappop = heapq.heappop
         trace = self._trace
         executed = 0
+        horizon = self._enter(_UNBOUNDED if limit_fs is None else limit_fs, event)
         try:
             while event._value is _PENDING:
                 if not queue:
@@ -188,5 +225,5 @@ class Engine:
                     trace.emit("engine.step", time_fs, "engine", None)
                 action()
         finally:
-            self._events_executed += executed
+            self._leave(executed, horizon)
         return event._value

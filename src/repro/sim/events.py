@@ -24,6 +24,9 @@ Callback = typing.Callable[["Event"], None]
 
 _PENDING = object()
 
+#: The horizon of a drive loop that runs until its queue drains.
+_UNBOUNDED = float("inf")
+
 
 class Event:
     """A one-shot future tied to an :class:`~repro.sim.engine.Engine`."""

@@ -21,15 +21,23 @@ yield costs one ``_advance`` plus one ``_on_event`` (or ``_on_timed``).
 All of them are plain bound methods — the module's contract is that **no
 closures are allocated per yield or per interrupt** — and the generator's
 ``send`` is cached at spawn time.
+
+A :class:`LaneGroup` stands in for a whole batch of child processes joined
+by :class:`AllOf` — the parallel loads of a GPU work-group or of a CPU
+core's fill buffers.  Its lanes are small state machines rather than
+generators, run from one per-group heap with exactly the event stamps
+the child processes would have had.
 """
 
 from __future__ import annotations
 
 import typing
+from heapq import heappop as _heappop
 from heapq import heappush as _heappush
+from heapq import heappushpop as _heappushpop
 
 from repro.errors import SimulationError
-from repro.sim.events import _PENDING, Event
+from repro.sim.events import _PENDING, _UNBOUNDED, Event
 
 if typing.TYPE_CHECKING:
     from repro.sim.engine import Engine
@@ -187,3 +195,101 @@ class Process(Event):
             return  # stale wakeup after an interrupt
         self._waiting_on = None
         self._advance(event._value, None)
+
+
+class LaneGroup(Event):
+    """A batch of parallel lanes run from one per-group heap.
+
+    Subclasses define the lanes as small state machines in
+    :meth:`_stage`: run one stage of ``lane`` at ``engine.now`` and
+    return ``(next_stage, delay_fs)``, or ``(None, value)`` when the lane
+    finishes with ``value``.  The group triggers with the list of lane
+    values, in lane order, once every lane has finished — what an
+    :class:`AllOf` over one child process per lane delivers.
+
+    It is also *event-exact* with that fan-out: every stage carries the
+    ``(time, sequence)`` stamp the lane's process would have given its
+    step, drawn from the engine's counter at the same moment, and counts
+    as one executed action (with its ``engine.step`` trace record).  Each
+    lane starts at ``(now, s + lane)``, as ``Process(...)`` per lane
+    would schedule it.  Only the group's earliest pending stage sits in
+    the engine queue.  When a stage finishes, the next one runs inside
+    the same action if the engine would have popped it next anyway:
+    it precedes the queue head and lies within the horizon the drive
+    loop published (``run(until_fs)``, ``run_until_complete(limit_fs)``
+    while its event is pending; never under ``step()``).  Otherwise it
+    goes back into the engine queue.  Stages see the pending stages of
+    their siblings through :meth:`horizon_fs`.
+    """
+
+    __slots__ = ("_heap", "_values", "_remaining")
+
+    def __init__(self, engine: "Engine", lanes: int) -> None:
+        if lanes < 1:
+            raise SimulationError("a lane group needs at least one lane")
+        self.engine = engine
+        self._value = _PENDING
+        self._callbacks = []
+        self._values: typing.List[object] = [None] * lanes
+        self._remaining = lanes
+        now = engine._now
+        first = engine._sequence
+        engine._sequence = first + lanes
+        # Ascending stamps: already a valid heap.
+        self._heap = [(now, first + lane, lane, 0) for lane in range(lanes)]
+        _heappush(engine._queue, (now, first, self._fire))
+
+    def _stage(self, lane: int, stage: int) -> typing.Tuple[typing.Optional[int], typing.Any]:
+        """Run one stage of one lane (stage 0 is every lane's start)."""
+        raise NotImplementedError
+
+    def horizon_fs(self) -> float:
+        """The earliest time any other action can run, seen from a stage."""
+        queue = self.engine._queue
+        horizon = queue[0][0] if queue else _UNBOUNDED
+        heap = self._heap
+        if heap and heap[0][0] < horizon:
+            return heap[0][0]
+        return horizon
+
+    def _fire(self) -> None:
+        engine = self.engine
+        queue = engine._queue
+        heap = self._heap
+        run_stage = self._stage
+        trace = engine._trace
+        # Fixed for this action: a stage never drives the engine itself.
+        until = engine._inline_until
+        awaited = engine._awaited
+        entry = _heappop(heap)  # the stage the engine just popped
+        while True:
+            lane = entry[2]
+            stage, value = run_stage(lane, entry[3])
+            if stage is None:
+                self._values[lane] = value
+                self._remaining -= 1
+                if not self._remaining:
+                    self.succeed(self._values)
+                    return
+                entry = _heappop(heap)
+            else:
+                if value < 0:
+                    raise SimulationError(f"cannot schedule in the past: {value}")
+                sequence = engine._sequence
+                engine._sequence = sequence + 1
+                entry = _heappushpop(heap, (engine._now + value, sequence, lane, stage))
+            # Run the next stage here only if the engine would pop it next.
+            # Stamps are unique, so tuple order never reaches the payloads.
+            time_fs = entry[0]
+            if (
+                time_fs > until
+                or (queue and queue[0] < entry)
+                or (awaited is not None and awaited._value is not _PENDING)
+            ):
+                _heappush(heap, entry)
+                _heappush(queue, (time_fs, entry[1], self._fire))
+                return
+            engine._now = time_fs
+            engine._inline_executed += 1
+            if trace is not None:
+                trace.emit("engine.step", time_fs, "engine", None)

@@ -34,8 +34,10 @@ class FifoResource:
         self.total_wait_fs = 0
         self.total_hold_fs = 0
         self._granted_at = 0
-        # Reservation ledger (fast path): the time the server frees up.
+        # Reservation ledger (fast path): the time the server frees up,
+        # and the latest request time booked so far.
         self._busy_until = 0
+        self._last_request_fs = 0
 
     @property
     def busy(self) -> bool:
@@ -99,13 +101,21 @@ class FifoResource:
         responsible for simulating the returned wait plus the hold (one
         coalesced yield).  ``at_fs`` may lie in the future (a coalesced
         access path reserving at its logical request time); it must never
-        precede an earlier reservation's request time.
+        precede an earlier reservation's request time — the ledger could
+        not then return the FIFO wait, so that raises
+        :class:`SimulationError`.
 
         Event-mode (:meth:`request`/:meth:`release`) and ledger-mode use
         must not be mixed on one resource — a machine picks one mode at
         construction.
         """
         at = self.engine._now if at_fs is None else at_fs
+        if at < self._last_request_fs:
+            raise SimulationError(
+                f"resource {self.name!r}: reservation requested at {at} fs "
+                f"after one requested at {self._last_request_fs} fs"
+            )
+        self._last_request_fs = at
         start = self._busy_until
         if start < at:
             start = at
@@ -134,6 +144,7 @@ class FifoResource:
             "total_hold_fs": self.total_hold_fs,
             "granted_at": self._granted_at,
             "busy_until": self._busy_until,
+            "last_request_fs": self._last_request_fs,
         }
 
     def load_state(self, state: dict) -> None:
@@ -147,6 +158,7 @@ class FifoResource:
         self.total_hold_fs = int(state["total_hold_fs"])
         self._granted_at = int(state["granted_at"])
         self._busy_until = int(state["busy_until"])
+        self._last_request_fs = int(state["last_request_fs"])
 
     def utilization(self) -> float:
         """Fraction of elapsed simulation time the resource was held."""

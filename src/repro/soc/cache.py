@@ -8,24 +8,52 @@ cache is purely a state machine; all timing lives in the access paths of
 
 from __future__ import annotations
 
-import dataclasses
 import typing
 
 from repro.errors import CacheGeometryError
-from repro.soc.address import line_address
 from repro.soc.replacement import ReplacementPolicy, TrueLru
 
 IndexFn = typing.Callable[[int], int]
 
 
-@dataclasses.dataclass(frozen=True)
 class AccessResult:
-    """Outcome of one cache access."""
+    """Outcome of one cache access.
 
-    hit: bool
-    set_index: int
-    way: int
-    evicted: typing.Optional[int] = None  # line address pushed out, if any
+    A plain ``__slots__`` record rather than a frozen dataclass: one is
+    built on every simulated access, and a frozen dataclass pays an
+    ``object.__setattr__`` per field.  Compares and prints by value.
+    """
+
+    __slots__ = ("hit", "set_index", "way", "evicted")
+
+    def __init__(
+        self,
+        hit: bool,
+        set_index: int,
+        way: int,
+        evicted: typing.Optional[int] = None,  # line address pushed out, if any
+    ) -> None:
+        self.hit = hit
+        self.set_index = set_index
+        self.way = way
+        self.evicted = evicted
+
+    def _key(self) -> typing.Tuple[bool, int, int, typing.Optional[int]]:
+        return (self.hit, self.set_index, self.way, self.evicted)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AccessResult):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"AccessResult(hit={self.hit}, set_index={self.set_index}, "
+            f"way={self.way}, evicted={self.evicted})"
+        )
 
 
 class SetAssocCache:
@@ -52,7 +80,11 @@ class SetAssocCache:
         self.line_bytes = line_bytes
         self.policy = policy
         self._offset_bits = line_bytes.bit_length() - 1
+        self._line_mask = ~(line_bytes - 1)
         self._index_fn = index_fn or self._default_index
+        # Bound once: the per-access replacement updates.
+        self._on_hit = policy.on_hit
+        self._on_fill = policy.on_fill
         self._tags: typing.List[typing.List[typing.Optional[int]]] = [
             [None] * ways for _ in range(n_sets)
         ]
@@ -76,7 +108,7 @@ class SetAssocCache:
 
     def contains(self, paddr: int) -> bool:
         """Whether the line holding ``paddr`` is present (no state change)."""
-        return line_address(paddr, self.line_bytes) in self._where
+        return (paddr & self._line_mask) in self._where
 
     def access(
         self, paddr: int, allowed_ways: typing.Optional[typing.Sequence[int]] = None
@@ -86,17 +118,17 @@ class SetAssocCache:
         ``allowed_ways`` restricts where a *fill* may land (used by the
         way-partitioning mitigation); hits are unrestricted.
         """
-        line = line_address(paddr, self.line_bytes)
+        line = paddr & self._line_mask
         location = self._where.get(line)
         if location is not None:
             set_index, way = location
-            self.policy.on_hit(self._meta[set_index], way)
+            self._on_hit(self._meta[set_index], way)
             self.hits += 1
-            return AccessResult(hit=True, set_index=set_index, way=way)
+            return AccessResult(True, set_index, way)
         self.misses += 1
         set_index = self._index_fn(line)
         way, evicted = self._install(set_index, line, allowed_ways)
-        return AccessResult(hit=False, set_index=set_index, way=way, evicted=evicted)
+        return AccessResult(False, set_index, way, evicted)
 
     def _install(
         self,
@@ -106,21 +138,22 @@ class SetAssocCache:
     ) -> typing.Tuple[int, typing.Optional[int]]:
         tags = self._tags[set_index]
         meta = self._meta[set_index]
-        candidates = range(self.ways) if allowed_ways is None else allowed_ways
-        for way in candidates:
-            if tags[way] is None:
-                tags[way] = line
-                self._where[line] = (set_index, way)
-                self.policy.on_fill(meta, way)
-                return way, None
-        way = self._pick_victim(set_index, allowed_ways)
+        if allowed_ways is None:
+            # The first free way, else the policy's victim.
+            way = tags.index(None) if None in tags else self.policy.victim(meta)
+        else:
+            for way in allowed_ways:
+                if tags[way] is None:
+                    break
+            else:
+                way = self._pick_victim(set_index, allowed_ways)
         evicted = tags[way]
         if evicted is not None:
             del self._where[evicted]
             self.evictions += 1
         tags[way] = line
         self._where[line] = (set_index, way)
-        self.policy.on_fill(meta, way)
+        self._on_fill(meta, way)
         return way, evicted
 
     def _pick_victim(
@@ -145,8 +178,7 @@ class SetAssocCache:
 
     def invalidate(self, paddr: int) -> bool:
         """Drop the line holding ``paddr``; True if it was present."""
-        line = line_address(paddr, self.line_bytes)
-        location = self._where.pop(line, None)
+        location = self._where.pop(paddr & self._line_mask, None)
         if location is None:
             return False
         set_index, way = location

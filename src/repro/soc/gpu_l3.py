@@ -47,6 +47,10 @@ class GpuL3:
         self._set_bits = config.sets_per_bank.bit_length() - 1
         self._bank_bits = config.banks.bit_length() - 1
         self._subbank_bits = config.subbanks.bit_length() - 1
+        self._index_shift = config.offset_bits
+        self._index_mask = (
+            1 << (self._set_bits + self._bank_bits + self._subbank_bits)
+        ) - 1
         self._cache = SetAssocCache(
             name="gpu-l3",
             n_sets=config.total_sets,
@@ -68,9 +72,7 @@ class GpuL3:
 
     def flat_index_of(self, paddr: int) -> int:
         """The flat set index used by the storage array."""
-        low = self.config.offset_bits
-        total_bits = self._set_bits + self._bank_bits + self._subbank_bits
-        return extract_bits(paddr, low, total_bits)
+        return (paddr >> self._index_shift) & self._index_mask
 
     def same_set(self, paddr_a: int, paddr_b: int) -> bool:
         """Whether two addresses collide in one L3 set.

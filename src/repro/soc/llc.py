@@ -14,7 +14,7 @@ import typing
 
 from repro.config import LlcConfig
 from repro.errors import CacheGeometryError
-from repro.soc.address import extract_bits, line_address
+from repro.soc.address import line_address
 from repro.soc.cache import AccessResult, SetAssocCache
 from repro.soc.replacement import TrueLru
 from repro.soc.slice_hash import SliceHash
@@ -41,6 +41,9 @@ class SlicedLlc:
         self.hash = SliceHash(
             [config.hash_s0_mask, config.hash_s1_mask], config.slices
         )
+        self._slice_of = self.hash.slice_of
+        self._set_shift = config.offset_bits
+        self._set_mask = (1 << config.set_index_bits) - 1
         self._slices = [
             SetAssocCache(
                 name=f"llc-slice{i}",
@@ -54,11 +57,11 @@ class SlicedLlc:
         ]
 
     def _set_index(self, paddr: int) -> int:
-        return extract_bits(paddr, self.config.offset_bits, self.config.set_index_bits)
+        return (paddr >> self._set_shift) & self._set_mask
 
     def location_of(self, paddr: int) -> LlcLocation:
         """Which (slice, set) a physical address maps to."""
-        return LlcLocation(self.hash.slice_of(paddr), self._set_index(paddr))
+        return LlcLocation(self._slice_of(paddr), self._set_index(paddr))
 
     def slice_cache(self, slice_index: int) -> SetAssocCache:
         """Direct access to one slice's array (tests, mitigations)."""
@@ -70,15 +73,15 @@ class SlicedLlc:
         self, paddr: int, allowed_ways: typing.Optional[typing.Sequence[int]] = None
     ) -> AccessResult:
         """Access (and fill on miss) the line holding ``paddr``."""
-        return self._slices[self.hash.slice_of(paddr)].access(paddr, allowed_ways)
+        return self._slices[self._slice_of(paddr)].access(paddr, allowed_ways)
 
     def contains(self, paddr: int) -> bool:
         """Presence check without touching replacement state."""
-        return self._slices[self.hash.slice_of(paddr)].contains(paddr)
+        return self._slices[self._slice_of(paddr)].contains(paddr)
 
     def invalidate(self, paddr: int) -> bool:
         """Drop the line holding ``paddr`` (e.g. on clflush)."""
-        return self._slices[self.hash.slice_of(paddr)].invalidate(paddr)
+        return self._slices[self._slice_of(paddr)].invalidate(paddr)
 
     def lines_in_set(self, location: LlcLocation) -> typing.Tuple[int, ...]:
         """Resident line addresses of one (slice, set)."""

@@ -16,6 +16,7 @@ femtoseconds, which is what the attacking agents' timers measure.
 
 from __future__ import annotations
 
+import functools
 import typing
 
 from repro.config import SoCConfig, kaby_lake
@@ -25,7 +26,8 @@ from repro.obs.recorder import recorder as _recorder
 from repro.sim import FS_PER_S, RngStreams
 from repro.sim import fastpath as _fastpath
 from repro.sim.engine import Engine
-from repro.sim.process import Process
+from repro.sim.events import _UNBOUNDED
+from repro.sim.process import LaneGroup, Process
 from repro.soc.cpu_cache import CpuCoreCaches
 from repro.soc.dram import Dram
 from repro.soc.gpu_l3 import GpuL3
@@ -35,6 +37,20 @@ from repro.soc.ring import Ring
 from repro.soc.slm import SharedLocalMemory
 
 AccessGen = typing.Generator[object, object, int]
+
+# Stages of one access on a fast-path machine.  _ISSUE must be 0, the
+# stage every lane of a LaneGroup starts in.
+_ISSUE = 0  # a parallel load waits out its issue stagger
+_LOOKUP = 1  # the access begins (CPU: waits out a preemption window)
+_PRIVATE = 2  # CPU private-cache lookup
+_MISS = 3  # private miss: the fold decisions of _miss_step
+_RING = 4  # unfolded ring request (TDM window check)
+_RESERVE = 5  # ring request after a TDM wait
+_FILL = 6  # unfolded LLC fill at ring completion
+_MISS_DONE = 7  # a miss completes
+_L1_DONE = 8  # private hits complete
+_L2_DONE = 9
+_L3_DONE = 10
 
 
 def _flatten(
@@ -283,45 +299,64 @@ class SoC:
         cache/ring/DRAM state change and every trace/metrics emit happens
         with the same logical timestamp and in the same cross-agent order
         (folds only happen when no other event can run inside the folded
-        window — see DESIGN, "Fast-path contract").
+        window — see DESIGN, "Fast-path contract").  The stages are
+        :meth:`_cpu_step`'s, shared with the parallel-load lanes.
         """
-        engine = self.engine
-        start = engine._now
-        stall_until = self._core_stall_until[core]
-        if stall_until > start:
-            yield stall_until - start
-        caches = self.cpu_caches[core]
-        trace = self._trace_cache
-        l1 = caches.l1.access(paddr)
-        if l1.hit:
-            yield self._l1_hit_fs
-            if trace is not None:
-                trace.emit("cache.access", engine._now, self._core_tracks[core],
-                           {"level": "l1", "hit": True, "paddr": paddr})
-            latency = engine._now - start
+        start = self.engine._now
+        stage = _LOOKUP
+        while True:
+            stage, value = self._cpu_step(core, stage, paddr, start, None)
+            if stage is None:
+                return value
+            yield value
+
+    def _cpu_step(
+        self,
+        core: int,
+        stage: int,
+        paddr: int,
+        start_fs: int,
+        lanes: typing.Optional[LaneGroup],
+    ) -> typing.Tuple[typing.Optional[int], int]:
+        """Run one stage of a CPU load begun at ``start_fs``, now.
+
+        Returns ``(next_stage, delay_fs)``, or ``(None, latency_fs)`` once
+        the load completes.  ``lanes`` is the lane group running the load
+        (its siblings' pending stages bound the folds), or ``None`` for a
+        load run by its own process.
+        """
+        if stage == _LOOKUP:
+            now = self.engine._now
+            stall_until = self._core_stall_until[core]
+            if stall_until > now:
+                return _PRIVATE, stall_until - now
+            stage = _PRIVATE
+        if stage == _PRIVATE:
+            caches = self.cpu_caches[core]
+            if caches.l1.access(paddr).hit:
+                return _L1_DONE, self._l1_hit_fs
+            l2 = caches.l2.access(paddr)
+            if l2.evicted is not None:
+                caches.l1.invalidate(l2.evicted)
+            if l2.hit:
+                return _L2_DONE, self._l2_hit_fs
+            stage = _MISS
+        elif stage >= _MISS_DONE:
+            now = self.engine._now
+            if stage != _MISS_DONE and self._trace_cache is not None:
+                self._trace_cache.emit(
+                    "cache.access", now, self._core_tracks[core],
+                    {"level": "l1" if stage == _L1_DONE else "l2", "hit": True,
+                     "paddr": paddr},
+                )
+            latency = now - start_fs
             if self._lat_cpu is not None:
                 self._lat_cpu[core].add(latency / 1e6)
-            return latency
-        l2 = caches.l2.access(paddr)
-        if l2.evicted is not None:
-            caches.l1.invalidate(l2.evicted)
-        if l2.hit:
-            yield self._l2_hit_fs
-            if trace is not None:
-                trace.emit("cache.access", engine._now, self._core_tracks[core],
-                           {"level": "l2", "hit": True, "paddr": paddr})
-            latency = engine._now - start
-            if self._lat_cpu is not None:
-                self._lat_cpu[core].add(latency / 1e6)
-            return latency
-        yield from self._miss_path_fast(
-            "cpu", self._core_tracks[core], paddr,
-            self._cpu_pre_fs, self._cpu_tail_base_fs,
+            return None, latency
+        return self._miss_step(
+            stage, "cpu", self._core_tracks[core], paddr,
+            self._cpu_pre_fs, self._cpu_tail_base_fs, self._horizon_fs(lanes),
         )
-        latency = engine._now - start
-        if self._lat_cpu is not None:
-            self._lat_cpu[core].add(latency / 1e6)
-        return latency
 
     def _llc_fill_fast(
         self, domain: str, track: str, paddr: int, at_fs: int, tail_base_fs: int
@@ -360,51 +395,83 @@ class SoC:
             tail_fs += dram_fs
         return tail_fs
 
-    def _miss_path_fast(
-        self, domain: str, track: str, paddr: int, pre_fs: int, tail_base_fs: int
-    ) -> typing.Generator[object, object, None]:
-        """Private-miss → ring → LLC/DRAM with fixed segments folded.
+    def _miss_step(
+        self,
+        stage: int,
+        domain: str,
+        track: str,
+        paddr: int,
+        pre_fs: int,
+        tail_base_fs: int,
+        horizon_fs: float,
+    ) -> typing.Tuple[int, int]:
+        """One stage of a private miss → ring → LLC/DRAM, run now.
 
-        Folding a segment is legal only when no other queued event can
+        Returns ``(next_stage, delay_fs)``; the access is complete once
+        ``_MISS_DONE`` comes back and its delay has passed.  This is the
+        one definition of the miss path's folds, shared by the scalar
+        access generators and the parallel-load lanes.  ``horizon_fs`` is
+        the earliest time any other pending action can run.
+
+        Folding a segment is legal only when no other pending action can
         run inside it (strictly — pre-existing entries at the boundary
-        time carry lower sequence numbers and would run first), so every
-        fold is guarded by a queue-head check.  The TDM window check and,
-        when a DRAM fault hook is armed, the DRAM draw must happen at
-        their true times; those configurations simply fold less.
+        time carry lower sequence numbers and would run first).  The TDM
+        window check and, when a DRAM fault hook is armed, the DRAM draw
+        must happen at their true times; those configurations simply
+        fold less.
         """
-        engine = self.engine
+        now = self.engine._now
         ring = self.ring
-        queue = engine._queue
-        t0 = engine._now
-        t1 = t0 + pre_fs
-        if ring.tdm is None and (not queue or queue[0][0] > t1):
+        if stage == _MISS:
+            at = now + pre_fs
+            if ring.tdm is not None or horizon_fs <= at:
+                return _RING, pre_fs
             # Fold the pre-ring latency into the reservation: the request
-            # is booked at its logical time t1.
-            waited, hold = ring.reserve(self._line_slots, domain, at_fs=t1)
-            t3 = t1 + waited + hold
-            if self.dram.fault_hook is None and (not queue or queue[0][0] > t3):
-                tail_fs = self._llc_fill_fast(domain, track, paddr, t3, tail_base_fs)
-                yield t3 - t0 + tail_fs
-                return
-            yield t3 - t0
-            tail_fs = self._llc_fill_fast(domain, track, paddr, engine._now, tail_base_fs)
-            yield tail_fs
-            return
-        yield pre_fs
-        if ring.tdm is not None:
-            tdm_wait = ring.tdm.wait_fs(domain, engine._now)
-            if tdm_wait:
-                yield tdm_wait
-        t1 = engine._now
-        waited, hold = ring.reserve(self._line_slots, domain)
-        t3 = t1 + waited + hold
-        if self.dram.fault_hook is None and (not queue or queue[0][0] > t3):
-            tail_fs = self._llc_fill_fast(domain, track, paddr, t3, tail_base_fs)
-            yield t3 - t1 + tail_fs
-            return
-        yield t3 - t1
-        tail_fs = self._llc_fill_fast(domain, track, paddr, engine._now, tail_base_fs)
-        yield tail_fs
+            # is booked at its logical time.
+        elif stage == _FILL:
+            return _MISS_DONE, self._llc_fill_fast(
+                domain, track, paddr, now, tail_base_fs
+            )
+        else:
+            if stage == _RING and ring.tdm is not None:
+                tdm_wait = ring.tdm.wait_fs(domain, now)
+                if tdm_wait:
+                    return _RESERVE, tdm_wait
+            at = now
+        waited, hold = ring.reserve(self._line_slots, domain, at_fs=at)
+        done = at + waited + hold
+        if self.dram.fault_hook is None and horizon_fs > done:
+            tail_fs = self._llc_fill_fast(domain, track, paddr, done, tail_base_fs)
+            return _MISS_DONE, done - now + tail_fs
+        return _FILL, done - now
+
+    def _horizon_fs(self, lanes: typing.Optional[LaneGroup]) -> float:
+        """The earliest time another pending action can run."""
+        if lanes is not None:
+            return lanes.horizon_fs()
+        queue = self.engine._queue
+        return queue[0][0] if queue else _UNBOUNDED
+
+    def gpu_loads(self, paddrs: typing.Sequence[int], issue_fs: int) -> LaneGroup:
+        """Parallel GPU loads on a fast-path machine, as one event.
+
+        Load ``k`` issues ``k * issue_fs`` after now and then runs the
+        stages of :meth:`gpu_access`; the group triggers with every
+        load's latency, in issue order.
+        """
+        return _ParallelLoads(self.engine, self._gpu_step, paddrs, issue_fs)
+
+    def cpu_loads(
+        self, core: int, paddrs: typing.Sequence[int], issue_fs: int
+    ) -> LaneGroup:
+        """Parallel CPU loads from ``core`` on a fast-path machine.
+
+        The CPU sibling of :meth:`gpu_loads`, running the stages of
+        :meth:`cpu_access`.
+        """
+        return _ParallelLoads(
+            self.engine, functools.partial(self._cpu_step, core), paddrs, issue_fs
+        )
 
     def cpu_access_burst(
         self, core: int, paddrs: typing.Sequence[int]
@@ -561,27 +628,50 @@ class SoC:
         return latency
 
     def _gpu_access_fast(self, paddr: int) -> AccessGen:
-        """Coalesced path: one yield for an L3 hit, ≤2 around the ring."""
-        engine = self.engine
-        start = engine._now
-        trace = self._trace_cache
-        l3 = self.gpu_l3.access(paddr)
-        if l3.hit:
-            yield self._l3_hit_fs
-            if trace is not None:
-                trace.emit("cache.access", engine._now, "gpu",
-                           {"level": "l3", "hit": True, "paddr": paddr})
-            latency = engine._now - start
+        """Coalesced path: one yield for an L3 hit, ≤2 around the ring.
+
+        The stages are :meth:`_gpu_step`'s, shared with the
+        parallel-load lanes.
+        """
+        start = self.engine._now
+        stage = _LOOKUP
+        while True:
+            stage, value = self._gpu_step(stage, paddr, start, None)
+            if stage is None:
+                return value
+            yield value
+
+    def _gpu_step(
+        self,
+        stage: int,
+        paddr: int,
+        start_fs: int,
+        lanes: typing.Optional[LaneGroup],
+    ) -> typing.Tuple[typing.Optional[int], int]:
+        """Run one stage of a GPU load begun at ``start_fs``, now.
+
+        The GPU sibling of :meth:`_cpu_step` (no preemption windows on
+        the GPU; an L3 hit stays on the GPU side of the ring).
+        """
+        if stage == _LOOKUP:
+            if self.gpu_l3.access(paddr).hit:
+                return _L3_DONE, self._l3_hit_fs
+            stage = _MISS
+        elif stage >= _MISS_DONE:
+            now = self.engine._now
+            if stage == _L3_DONE and self._trace_cache is not None:
+                self._trace_cache.emit(
+                    "cache.access", now, "gpu",
+                    {"level": "l3", "hit": True, "paddr": paddr},
+                )
+            latency = now - start_fs
             if self._lat_gpu is not None:
                 self._lat_gpu.add(latency / 1e6)
-            return latency
-        yield from self._miss_path_fast(
-            "gpu", "gpu", paddr, self._gpu_pre_fs, self._gpu_tail_base_fs
+            return None, latency
+        return self._miss_step(
+            stage, "gpu", "gpu", paddr,
+            self._gpu_pre_fs, self._gpu_tail_base_fs, self._horizon_fs(lanes),
         )
-        latency = engine._now - start
-        if self._lat_gpu is not None:
-            self._lat_gpu.add(latency / 1e6)
-        return latency
 
     def gpu_access_burst(
         self, paddrs: typing.Sequence[int]
@@ -908,3 +998,35 @@ class SoC:
             "llc_ns": llc_fs / 1e6,
             "dram_ns": llc_fs / 1e6 + self.dram.mean_latency_ns(),
         }
+
+
+class _ParallelLoads(LaneGroup):
+    """Lane ``k`` is one load issued ``k * issue_fs`` after now.
+
+    After its issue stagger a lane runs the stages of ``step``
+    (:meth:`SoC._gpu_step` or :meth:`SoC._cpu_step`), exactly as
+    ``_issue_after(k * issue_fs, paddr)`` in its own process would.
+    """
+
+    __slots__ = ("_step", "_paddrs", "_t0", "_issue_fs")
+
+    def __init__(
+        self,
+        engine: Engine,
+        step: typing.Callable[..., typing.Tuple[typing.Optional[int], int]],
+        paddrs: typing.Sequence[int],
+        issue_fs: int,
+    ) -> None:
+        self._step = step
+        self._paddrs = paddrs
+        self._t0 = engine._now
+        self._issue_fs = issue_fs
+        super().__init__(engine, len(paddrs))
+
+    def _stage(self, lane: int, stage: int) -> typing.Tuple[typing.Optional[int], int]:
+        delay = lane * self._issue_fs
+        if stage == _ISSUE:
+            if delay:
+                return _LOOKUP, delay
+            stage = _LOOKUP
+        return self._step(stage, self._paddrs[lane], self._t0 + delay, self)

@@ -64,15 +64,11 @@ class TrueLru(ReplacementPolicy):
         # Recency stack: index 0 = MRU, last = LRU.
         return list(range(self.ways))
 
-    def _touch(self, stack: typing.List[int], way: int) -> None:
-        stack.remove(way)
-        stack.insert(0, way)
+    def on_hit(self, state: typing.Any, way: int) -> None:
+        state.remove(way)
+        state.insert(0, way)
 
-    def on_hit(self, state: object, way: int) -> None:
-        self._touch(typing.cast(list, state), way)
-
-    def on_fill(self, state: object, way: int) -> None:
-        self._touch(typing.cast(list, state), way)
+    on_fill = on_hit
 
     def victim(self, state: object) -> int:
         return typing.cast(list, state)[-1]
@@ -92,29 +88,32 @@ class TreePlru(ReplacementPolicy):
         if ways & (ways - 1):
             raise CacheGeometryError("tree-pLRU requires a power-of-two way count")
         self._levels = ways.bit_length() - 1
+        # Per way, the (node, bit) writes of a touch, root first: each
+        # bit points away from the touched side.
+        self._paths: typing.List[typing.Tuple[typing.Tuple[int, int], ...]] = []
+        for way in range(ways):
+            path = []
+            node = 0
+            for level in range(self._levels):
+                side = (way >> (self._levels - 1 - level)) & 1
+                path.append((node, 1 - side))
+                node = 2 * node + 1 + side
+            self._paths.append(tuple(path))
 
     def new_set_state(self) -> typing.List[int]:
         return [0] * max(1, self.ways - 1)
 
-    def _touch(self, bits: typing.List[int], way: int) -> None:
-        node = 0
-        for level in range(self._levels):
-            side = (way >> (self._levels - 1 - level)) & 1
-            bits[node] = 1 - side  # point away from the touched side
-            node = 2 * node + 1 + side
+    def on_hit(self, state: typing.Any, way: int) -> None:
+        for node, bit in self._paths[way]:
+            state[node] = bit
 
-    def on_hit(self, state: object, way: int) -> None:
-        self._touch(typing.cast(list, state), way)
+    on_fill = on_hit
 
-    def on_fill(self, state: object, way: int) -> None:
-        self._touch(typing.cast(list, state), way)
-
-    def victim(self, state: object) -> int:
-        bits = typing.cast(list, state)
+    def victim(self, state: typing.Any) -> int:
         node = 0
         way = 0
         for _level in range(self._levels):
-            side = bits[node]
+            side = state[node]
             way = (way << 1) | side
             node = 2 * node + 1 + side
         return way

@@ -70,6 +70,8 @@ class Ring:
         # Sampled at construction: one ring is consistently ledger-mode
         # (reserve) or consistently event-mode (occupy) for its lifetime.
         self._fast = _fastpath.enabled()
+        # hold_fs per payload size, memoised for the per-access reserve().
+        self._holds: typing.Dict[int, int] = {}
 
     @property
     def traverse_fs(self) -> int:
@@ -151,7 +153,9 @@ class Ring:
         timestamp — the same timestamp the event-mode emit carries.
         """
         at = self.engine._now if at_fs is None else at_fs
-        hold = self.hold_fs(payload_slots)
+        hold = self._holds.get(payload_slots)
+        if hold is None:
+            hold = self._holds[payload_slots] = self.hold_fs(payload_slots)
         waited = self._resource.reserve(hold, at_fs=at)
         self.transfers[domain] = self.transfers.get(domain, 0) + 1
         self.waited_fs[domain] = self.waited_fs.get(domain, 0) + waited

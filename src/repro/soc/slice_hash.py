@@ -13,7 +13,11 @@ from __future__ import annotations
 import typing
 
 from repro.errors import ConfigError
-from repro.soc.address import parity
+
+#: Set-bit count of an int (``int.bit_count`` from Python 3.10).
+_popcount: typing.Callable[[int], int] = getattr(
+    int, "bit_count", lambda value: bin(value).count("1")
+)
 
 
 class SliceHash:
@@ -30,12 +34,17 @@ class SliceHash:
         self.masks = tuple(int(m) for m in masks)
         self.n_slices = n_slices
         self._used_bits = needed_bits
+        # (mask, output bit) per hash bit, for slice_of's loop.
+        self._terms = tuple(
+            (self.masks[position], 1 << position) for position in range(needed_bits)
+        )
 
     def slice_of(self, paddr: int) -> int:
         """The LLC slice index of a physical address."""
         value = 0
-        for position in range(self._used_bits):
-            value |= parity(paddr & self.masks[position]) << position
+        for mask, bit in self._terms:
+            if _popcount(paddr & mask) & 1:
+                value |= bit
         return value
 
     def mask_bits(self, position: int) -> typing.Tuple[int, ...]:

@@ -340,13 +340,13 @@ def test_checkpoint_store_concurrent_writers(tmp_path):
     """Same discipline for checkpoint blobs: one valid JSON entry."""
     import multiprocessing
 
-    from repro.checkpoint import CheckpointStore
+    from repro.checkpoint import SCHEMA_VERSION, CheckpointStore
 
     def writer(root, key, label, barrier):
         store = CheckpointStore(root, fingerprint="race")
         for _ in range(25):
             barrier.wait()
-            store.put(key, {"schema": 1, "config_digest": label, "state": {}})
+            store.put(key, {"schema": SCHEMA_VERSION, "config_digest": label, "state": {}})
 
     ctx = multiprocessing.get_context("fork")
     store = CheckpointStore(tmp_path, fingerprint="race")

@@ -107,6 +107,38 @@ def test_fifo_grant_statistics():
     assert resource.total_wait_fs == 0 + 10 + 20 + 30
 
 
+def test_reserve_books_fifo_waits_in_request_order():
+    engine = Engine()
+    resource = FifoResource(engine)
+    assert resource.reserve(10, at_fs=5) == 0
+    assert resource.reserve(10, at_fs=5) == 10  # a tie queues behind
+    assert resource.reserve(10, at_fs=30) == 0
+    assert resource.total_wait_fs == 10
+
+
+def test_reserve_before_an_earlier_request_raises():
+    """An out-of-order request time would get a wrong wait: refuse it."""
+    engine = Engine()
+    resource = FifoResource(engine)
+    resource.reserve(10, at_fs=50)
+    with pytest.raises(SimulationError, match="requested at 40 fs"):
+        resource.reserve(10, at_fs=40)
+    with pytest.raises(SimulationError):
+        resource.reserve(10)  # now (0) precedes the booked request
+    assert resource.total_grants == 1
+    assert resource.reserve(10, at_fs=50) == 10
+
+
+def test_reserve_order_survives_a_state_round_trip():
+    engine = Engine()
+    resource = FifoResource(engine)
+    resource.reserve(10, at_fs=50)
+    restored = FifoResource(Engine())
+    restored.load_state(resource.state_dict())
+    with pytest.raises(SimulationError):
+        restored.reserve(10, at_fs=49)
+
+
 def test_semaphore_capacity_respected():
     engine = Engine()
     semaphore = Semaphore(engine, capacity=2)

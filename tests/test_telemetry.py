@@ -361,6 +361,46 @@ def test_sweep_bit_identical_across_worker_counts_with_streaming():
         assert events[-1] == "sweep.finish"
 
 
+def test_parallel_round_closes_its_pool_and_delivers_every_finish(monkeypatch):
+    """A round that harvests every handle lets its workers exit on their
+    own: no worker is killed mid-flush, so every worker-side
+    ``trial.finish`` reaches the parent and the drainer thread ends."""
+    import multiprocessing.pool
+    import threading
+
+    terminated = []
+    terminate = multiprocessing.pool.Pool.terminate
+
+    def recording_terminate(pool):
+        terminated.append(pool)
+        terminate(pool)
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", recording_terminate)
+
+    class Collecting(SweepTelemetry):
+        def __init__(self):
+            super().__init__()
+            self.events = []
+
+        def handle(self, event):
+            self.events.append(dict(event))
+            super().handle(event)
+
+    specs = _specs(n=6)
+    telemetry = Collecting()
+    report = TrialExecutor(workers=2, telemetry=telemetry).run(specs)
+    assert all(o.kind == OK for o in report.outcomes)
+    assert terminated == []
+    worker_finishes = [
+        e for e in telemetry.events if e["ev"] == "trial.finish" and "sim" in e
+    ]
+    assert sorted(e["index"] for e in worker_finishes) == list(range(len(specs)))
+    assert not any(
+        t.name == "repro-telemetry-drainer" and t.is_alive()
+        for t in threading.enumerate()
+    )
+
+
 def test_parallel_sim_totals_match_serial_with_telemetry():
     specs = _specs(n=3)
     serial = TrialExecutor(workers=0).run(specs)
